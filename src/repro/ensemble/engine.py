@@ -9,9 +9,10 @@ instances (one per seed) and advances them in lockstep:
   arithmetic as ``R`` scalar calls;
 * each per-run Verlet list is built per run (rebuild *decisions*
   diverge across seeds), but the surviving pair lists are concatenated
-  with run offsets into one merged list, so every force kernel's
-  ``_bundle`` executes once over all runs' terms on the flattened
-  ``(R·N, 3)`` view;
+  with run offsets into one merged list, so every pair and bonded
+  kernel's ``_bundle`` executes once over all runs' terms on the
+  flattened ``(R·N, 3)`` view; the all-pairs Coulomb kernel instead
+  takes the ``(R, N, 3)`` stack directly, its ring being per run;
 * per-run :class:`~repro.md.engine.StepReport` objects are then
   reassembled from run segments of the merged results, mirroring the
   scalar engine's object graph exactly (shared ``per_atom_work``
@@ -53,7 +54,7 @@ from repro.md.forces.bonded import (
     RadialBondForce,
     TorsionalBondForce,
 )
-from repro.md.forces.coulomb import CoulombForce, half_shell_pairs
+from repro.md.forces.coulomb import CoulombForce
 from repro.md.forces.lj import LennardJonesForce
 from repro.md.forces.morse import MorseForce
 from repro.md.integrator import TaylorPredictorCorrector
@@ -254,45 +255,30 @@ class _MorseDriver:
 
 
 class _CoulombDriver:
-    """Merged Coulomb kernel.  The half-shell ring enumeration is *per
-    run* — pairing charged atoms across runs would be wrong physics —
-    so the run-offset pair list is precomputed once here (charges and
-    movability are static and shared) and ``_pair_bundle`` evaluates
-    it on the flat view each step."""
+    """Coulomb over the ``(R, N, 3)`` stack: the half-shell ring is
+    per run, so the scalar kernel evaluates every run's ring at once
+    along the leading run axis (charges and movability are shared)."""
 
     name = "coulomb"
 
-    def __init__(self, force: CoulombForce, n_runs: int, n_atoms: int,
-                 base_system):
-        self.force = force  # only min_distance is read; no state
-        charged = base_system.charged
-        self.m_charged = len(charged)
-        self.gi = self.gj = None
-        self.terms_per_run = 0
-        if self.m_charged >= 2:
-            ii, jj = half_shell_pairs(self.m_charged)
-            gi, gj = charged[ii], charged[jj]
-            keep = base_system.movable[gi] | base_system.movable[gj]
-            gi, gj = gi[keep], gj[keep]
-            if len(gi):
-                offsets = (
-                    np.arange(n_runs, dtype=np.int64) * n_atoms
-                )[:, None]
-                self.gi = (gi[None, :] + offsets).ravel()
-                self.gj = (gj[None, :] + offsets).ravel()
-                self.terms_per_run = len(gi)
+    def __init__(self, force: CoulombForce, base_system):
+        self.force = force
+        self.charges = base_system.charges
+        self.movable = base_system.movable
+        self.m_charged = len(base_system.charged)
 
     def run(self, eng: "EnsembleMDEngine"):
         R, N = eng.n_runs, eng.n_atoms
-        if self.gi is None:
-            return _empty_results(N, R)
-        owner, e_terms = self.force._pair_bundle(
-            eng.flat, eng.batched_boundary, self.gi, self.gj,
-            eng.flat.forces,
+        ring = self.force.accumulate(
+            eng.state.positions, self.charges, self.movable,
+            eng.batched_boundary, eng.state.forces,
         )
-        counts = owner_counts(owner, R * N).reshape(R, N)
-        m = self.terms_per_run
-        energies = e_terms.reshape(R, m).sum(axis=1).tolist()
+        if ring is None:
+            return _empty_results(N, R)
+        e_terms, per_atom = ring
+        counts = np.tile(per_atom, (R, 1))
+        m = e_terms.shape[-1]
+        energies = e_terms.sum(axis=1).tolist()
         results = []
         for r in range(R):
             results.append(ForceResult(
@@ -356,7 +342,7 @@ def _build_drivers(forces, n_runs: int, n_atoms: int, base_system):
             drivers.append(_MorseDriver(f, n_runs, n_atoms))
         elif isinstance(f, CoulombForce):
             drivers.append(
-                _CoulombDriver(f, n_runs, n_atoms, base_system)
+                _CoulombDriver(f, base_system)
             )
         elif isinstance(f, RadialBondForce):
             m = f.n_bonds

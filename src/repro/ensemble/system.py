@@ -73,7 +73,6 @@ class FlatSystemView:
         self.movable = np.tile(base.movable, state.n_runs)
         self.sigma = np.tile(base.sigma, state.n_runs)
         self.epsilon = np.tile(base.epsilon, state.n_runs)
-        self.charges = np.tile(base.charges, state.n_runs)
         self.masses = np.tile(base.masses, state.n_runs)
 
 

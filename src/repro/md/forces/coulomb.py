@@ -5,13 +5,53 @@ between charged particles.  Unlike LJ forces, Coulombic forces are
 calculated between every pair of charged particles, regardless of
 distance." (§II-B) — O(N²) in the charged-atom count.
 
-Pair enumeration uses the classic *cyclic half-shell* decomposition:
-charged atom ``i`` owns the pairs (i, i+1 .. i+⌊(M-1)/2⌋ mod M), so
-Newton's third law halves the work while every atom owns the same
-number of pairs.  This balanced ownership is what lets the salt
-benchmark scale near-linearly (Fig. 1) even under the 1/N block
-partition; the neighbor-list forces keep their lower-index-owns
-asymmetry.
+Pair order is the classic *cyclic half-shell* decomposition
+(:func:`half_shell_pairs`): charged atom ``c`` owns the pairs
+``(c, c+k mod m)`` for k = 1..K, K = ⌊(m-1)/2⌋, plus — for even m —
+the extra ``k = m/2`` ring owned by its lower half.  Newton's third
+law halves the work while every atom owns the same number of pairs;
+this balanced ownership is what lets the salt benchmark scale
+near-linearly (Fig. 1) even under the 1/N block partition, while the
+neighbor-list forces keep their lower-index-owns asymmetry.
+
+The kernel evaluates that enumeration as a **ring** (:func:`ring_coulomb`):
+row ``k`` of a ``(rows, m)`` grid — rows = ⌊m/2⌋, the extra ring last
+and masked to its owning half — pairs column ``c`` with ``c+k``, read
+as one strided window over the positions doubled along the atom axis.
+There is no gather and no scatter, yet the bits equal those of the
+per-pair gather + ``bincount`` scatter over :func:`half_shell_pairs`:
+
+* each pair's arithmetic is the same elementwise op sequence
+  (``COULOMB_K·q_i·q_j``, the ``einsum`` r², the ``min_distance²``
+  clamp, ``qq/(r²·r)``, ``coef·dr``, ``qq/r``), and an elementwise
+  result does not depend on where the operands sit in memory;
+* ``bincount`` adds an atom's terms in pair order onto ``+0.0``: the
+  pairs it owns (rows k = 1..rows), then, negated, the pairs it is
+  the partner of (again k = 1..rows).  The kernel runs that same
+  chain as sequential reductions along the row axis: ``np.add.reduce``
+  over the ``(rows, w, 3)`` force vectors, seeded with ``+0.0``, then
+  ``np.subtract.reduce`` over a buffer whose row ``j`` holds row
+  ``k0+j``'s force vectors shifted ``j`` columns, so that each column
+  stacks the terms whose partner is one atom, continuing that atom's
+  chain block after block.  Columns past ``m`` wrap onto atoms
+  ``0..``; an atom's wrapped terms have higher ``k`` than its
+  unwrapped ones, so their chain continues where the unwrapped one
+  stopped;
+* masked pairs (neither atom movable, the extra ring's upper half)
+  and the buffer's padding contribute a signed zero, which leaves a
+  ``+0.0``-seeded chain unchanged;
+* rows are evaluated :data:`BLOCK_ROWS` at a time, which changes no
+  op and no order; it keeps the temporaries cache-sized and the
+  evaluation's footprint small enough for the allocator to reuse
+  between steps instead of faulting fresh pages in;
+* the energy is ``np.sum`` of the kept ``qq/r`` terms in pair order,
+  which is the row-major order of the grid.
+
+An ``owner_range`` copy (:meth:`CoulombForce.restrict`) evaluates only
+its ``w`` owned charged columns, so the P copies of a parallel run
+together do one evaluation's pair work.  The same function serves the
+ensemble engine: a leading run axis on the positions evaluates every
+run's ring at once.
 
 Memory character: the charged atoms are visited "in a linear fashion,
 taking advantage of spatial memory locality if most atoms are charged"
@@ -21,40 +61,37 @@ is heavy — the compute-bound profile.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.md.boundary import Boundary
-from repro.md.forces.base import (
-    Force,
-    ForceResult,
-    owner_counts,
-    scatter_forces,
-)
+from repro.md.forces.base import Force, ForceResult
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
 from repro.md.units import COULOMB_K
 
 #: flops per charged pair (distance, sqrt, 1/r, 1/r^3, force vector)
 FLOPS_PER_PAIR = 30.0
-#: distinct charged-atom counts whose pair enumerations stay cached —
-#: bounded LRU so alternating geometries (sweeps over several systems
-#: sharing one force object) neither thrash nor grow without limit
-RING_CACHE_SIZE = 4
 #: unique streamed bytes per charged atom per evaluation: the linear
 #: sweep re-reads the same packed position/charge arrays, so traffic is
 #: one pass over the charged set (positions + charges + force row), not
 #: per-pair — this is exactly why the Coulomb phase is compute-bound
 REGULAR_BYTES_PER_ATOM = 56.0
+#: ring rows evaluated together: keeps each block's temporaries
+#: cache-sized, so the only full-size arrays of an evaluation are its
+#: force vectors and energy terms
+BLOCK_ROWS = 32
 
 
 def half_shell_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Cyclic half-shell enumeration of all unordered pairs of ``m``
     items: owner ``i`` is paired with (i+k) mod m for k = 1..⌊(m-1)/2⌋,
     plus — for even m — the k = m/2 ring owned by its lower half.
-    Every unordered pair appears exactly once."""
+    Every unordered pair appears exactly once.  This is the pair-order
+    specification :func:`ring_coulomb` reproduces without enumerating
+    it."""
     if m < 2:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy()
@@ -69,6 +106,120 @@ def half_shell_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
         owners.append(half)
         partners.append(half + m // 2)
     return np.concatenate(owners), np.concatenate(partners)
+
+
+def _rows(a: np.ndarray, start: int, step: int, count: int, width: int,
+          writeable: bool = False) -> np.ndarray:
+    """View ``v[..., i, j, :] = a[..., start + i*step + j, :]`` for
+    ``i < count``, ``j < width`` — ``count`` windows of ``width`` atoms
+    along axis -2, ``step`` atoms apart (``step > width`` when written,
+    so no two elements alias)."""
+    stop = start + (count - 1) * step + width
+    win = sliding_window_view(
+        a[..., start:stop, :], width, axis=-2, writeable=writeable
+    )
+    return win[..., ::step, :, :].swapaxes(-1, -2)
+
+
+def ring_coulomb(
+    positions: np.ndarray,
+    charges: np.ndarray,
+    movable: np.ndarray,
+    boundary: Boundary,
+    min_distance: float,
+    cols: Tuple[int, int],
+):
+    """Half-shell Coulomb over ``m`` charged atoms, for the pairs owned
+    by charged columns ``cols = (lo, hi)``.
+
+    ``positions`` is ``(..., m, 3)`` — one system, or an ``(R, m, 3)``
+    ensemble stack whose runs are evaluated independently; ``charges``
+    and ``movable`` are the shared ``(m,)`` per-atom arrays.  Returns
+    ``None`` when no pair is kept, else ``(forces, e_terms, counts)``:
+    the ``(..., m, 3)`` force sums to add onto the charged atoms, the
+    kept ``qq/r`` energy terms in pair order as ``(..., n_terms)``, and
+    the ``(hi - lo,)`` kept-pair count per owner column.
+    """
+    m = positions.shape[-2]
+    lo, hi = cols
+    w = hi - lo
+    rows = m // 2
+    extra = m % 2 == 0  # the k = m/2 ring, last row, owned by c < m/2
+    cut = max(0, min(w, m // 2 - lo))  # its kept prefix
+    if movable.all():
+        counts = np.full(w, rows, dtype=np.float64)
+        if extra:
+            counts[cut:] -= 1.0
+        keep = None
+    else:
+        mv2 = np.concatenate([movable, movable])
+        keep = movable[None, lo:hi] | sliding_window_view(
+            mv2[lo + 1:lo + rows + w], w
+        )
+        if extra:
+            keep[-1, cut:] = False
+        counts = keep.sum(axis=0).astype(np.float64)
+    n_terms = int(counts.sum())
+    if n_terms == 0:
+        return None
+    lead = positions.shape[:-2]
+    doubled = np.concatenate([positions, positions], axis=-2)
+    q2 = np.concatenate([charges, charges])
+    kq = COULOMB_K * charges[lo:hi]
+    md2 = min_distance**2
+    fvec = np.empty(lead + (rows, w, 3))
+    e_terms = np.empty(lead + (rows, w))
+    for k0 in range(0, rows, BLOCK_ROWS):
+        k1 = min(rows, k0 + BLOCK_ROWS)
+        # ring rows k0+1..k1: column c is the pair (c, c+k)
+        partner = _rows(doubled, lo + 1 + k0, 1, k1 - k0, w)
+        dr = boundary.displacement(positions[..., None, lo:hi, :] - partner)
+        flat = dr.reshape(-1, 3)
+        r2 = np.einsum("ij,ij->i", flat, flat).reshape(dr.shape[:-1])
+        np.maximum(r2, md2, out=r2)
+        r = np.sqrt(r2)
+        qq = kq * sliding_window_view(q2[lo + 1 + k0:lo + k1 + w], w)
+        coef = qq / (r2 * r)  # F/r
+        np.divide(qq, r, out=e_terms[..., k0:k1, :])
+        if keep is not None:
+            coef[..., ~keep[k0:k1]] = 0.0
+        elif extra and k1 == rows:
+            coef[..., -1, cut:] = 0.0
+        for d in range(3):
+            np.multiply(coef, dr[..., d], out=fvec[..., k0:k1, :, d])
+    e_terms = e_terms.reshape(lead + (-1,))
+    if keep is None:
+        e_terms = e_terms[..., :n_terms]
+    else:
+        e_terms = np.compress(keep.ravel(), e_terms, axis=-1)
+
+    forces = np.zeros(lead + (m, 3))
+    np.add(np.add.reduce(fvec, axis=-3), 0.0,  # the +0.0 seed
+           out=forces[..., lo:hi, :])
+    # partner terms, a block of rows at a time: ``buf[1 + j, x]`` holds
+    # the force of row k0+j's pair (c, c+k) under its partner, x =
+    # c - lo + j, and row 0 the chain so far of the atom in column x
+    span = w + BLOCK_ROWS
+    buf = np.zeros(lead + (BLOCK_ROWS + 1, span, 3))
+    for k0 in range(0, rows, BLOCK_ROWS):
+        k1 = min(rows, k0 + BLOCK_ROWS)
+        _rows(buf.reshape(lead + (-1, 3)), span, span + 1, k1 - k0, w,
+              writeable=True)[...] = fvec[..., k0:k1, :, :]
+        block = buf[..., :k1 - k0 + 1, :, :]
+        # column x is atom t = lo + k0 + 1 + x, wrapping past m onto
+        # atoms 0..; an atom's wrapped terms (higher k) follow its
+        # unwrapped ones
+        t0 = lo + k0 + 1
+        width = w + k1 - k0 - 1
+        split = min(max(m - t0, 0), width)
+        for x0, x1, a0 in ((0, split, t0), (split, width, t0 + split - m)):
+            if x1 > x0:
+                atoms = forces[..., a0:a0 + x1 - x0, :]
+                block[..., 0, x0:x1, :] = atoms
+                atoms[...] = np.subtract.reduce(
+                    block[..., x0:x1, :], axis=-3
+                )
+    return forces, e_terms, counts
 
 
 class CoulombForce(Force):
@@ -90,49 +241,53 @@ class CoulombForce(Force):
             raise ValueError(f"min_distance must be positive: {min_distance}")
         self.min_distance = min_distance
         self.owner_range = owner_range
-        self._ring_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
 
     def restrict(self, lo: int, hi: int) -> "CoulombForce":
         """A copy computing only pairs whose owner atom is in [lo, hi)."""
-        other = CoulombForce(self.min_distance, owner_range=(lo, hi))
-        other._ring_cache = self._ring_cache  # share the pair cache
-        return other
+        return CoulombForce(self.min_distance, owner_range=(lo, hi))
 
-    def _pairs(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
-        cache = self._ring_cache
-        if m in cache:
-            cache.move_to_end(m)
-        else:
-            cache[m] = half_shell_pairs(m)
-            while len(cache) > RING_CACHE_SIZE:
-                cache.popitem(last=False)
-        return cache[m]
-
-    def _pair_bundle(
+    def accumulate(
         self,
-        system: AtomSystem,
+        positions: np.ndarray,
+        charges: np.ndarray,
+        movable: np.ndarray,
         boundary: Boundary,
-        gi: np.ndarray,
-        gj: np.ndarray,
         forces_out: np.ndarray,
     ):
-        """Interaction math + scatter for an already-enumerated and
-        filtered owner/partner pair list; returns ``(gi, e_terms)``.
-        Split from :meth:`compute` because the ring enumeration is
-        *per run*: the ensemble engine builds run-offset pair indices
-        itself (pairing charged atoms across runs would be wrong
-        physics) and calls this once on the flattened view."""
-        dr = boundary.displacement(system.positions[gi] - system.positions[gj])
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        np.maximum(r2, self.min_distance**2, out=r2)
-        r = np.sqrt(r2)
-        qq = COULOMB_K * system.charges[gi] * system.charges[gj]
-        coef = qq / (r2 * r)  # F/r
-        fvec = coef[:, None] * dr
-        scatter_forces(forces_out, (gi, gj), (fvec, -fvec))
-        return gi, qq / r
+        """Add the Coulomb forces of ``positions`` — ``(n, 3)``, or an
+        ``(R, n, 3)`` ensemble stack sharing the ``(n,)`` ``charges``
+        and ``movable`` arrays — onto ``forces_out`` of the same shape.
+        The one evaluation site of scalar and ensemble runs: returns
+        ``None`` when no pair is kept, else the kept energy terms in
+        pair order ``(..., n_terms)`` and the ``(n,)`` per-atom work."""
+        n = positions.shape[-2]
+        charged = np.nonzero(charges != 0.0)[0]
+        m = len(charged)
+        if m < 2:
+            return None
+        lo, hi = 0, m
+        if self.owner_range is not None:
+            # charged is ascending, so the owned atoms are a column range
+            lo, hi = np.searchsorted(charged, self.owner_range).tolist()
+        everyone = m == n
+        ring = ring_coulomb(
+            positions if everyone else positions[..., charged, :],
+            charges[charged],
+            movable[charged],
+            boundary,
+            self.min_distance,
+            (lo, hi),
+        )
+        if ring is None:
+            return None
+        forces, e_terms, counts = ring
+        if everyone:
+            forces_out += forces
+        else:
+            forces_out[..., charged, :] += forces
+        per_atom = np.zeros(n)
+        per_atom[charged[lo:hi]] = counts
+        return e_terms, per_atom
 
     def compute(
         self,
@@ -141,29 +296,19 @@ class CoulombForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
-        n = system.n_atoms
-        charged = system.charged
-        m = len(charged)
-        if m < 2:
-            return ForceResult.empty(n)
-        ii, jj = self._pairs(m)
-        gi, gj = charged[ii], charged[jj]
-        keep = system.movable[gi] | system.movable[gj]
-        if self.owner_range is not None:
-            lo, hi = self.owner_range
-            keep &= (gi >= lo) & (gi < hi)
-        gi, gj = gi[keep], gj[keep]
-        if len(gi) == 0:
-            return ForceResult.empty(n)
-        gi, e_terms = self._pair_bundle(system, boundary, gi, gj, forces_out)
-        energy = float(np.sum(e_terms))
-        n_terms = len(gi)
-        per_atom = owner_counts(gi, n)
+        ring = self.accumulate(
+            system.positions, system.charges, system.movable, boundary,
+            forces_out,
+        )
+        if ring is None:
+            return ForceResult.empty(system.n_atoms)
+        e_terms, per_atom = ring
+        n_terms = e_terms.shape[-1]
         return ForceResult(
-            energy=energy,
+            energy=float(np.sum(e_terms)),
             terms=n_terms,
             per_atom_work=per_atom,
             flops=FLOPS_PER_PAIR * n_terms,
             bytes_irregular=0.0,
-            bytes_regular=REGULAR_BYTES_PER_ATOM * m,
+            bytes_regular=REGULAR_BYTES_PER_ATOM * len(system.charged),
         )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.md.boundary import Boundary
 from repro.md.forces.base import Force, ForceResult
@@ -96,6 +95,10 @@ class EwaldCoulombForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
+        # imported here: scipy.special is a third of the package's import
+        # time and only this kernel needs it
+        from scipy.special import erfc
+
         if not boundary.periodic:
             raise ValueError("Ewald summation requires a periodic box")
         n = system.n_atoms

@@ -6,9 +6,11 @@ topology, cost-model calibration, fault plan, pinning policy, and the
 execution options the replay layer accepts.  :func:`spec_digest` maps a
 spec to a content address: the SHA-256 of its canonical JSON encoding
 salted with :func:`code_version_salt`, a hash of every ``repro`` source
-file.  Because the simulated machine is byte-deterministic (same spec ⇒
-same event trace, asserted since PR 1), the digest is a *sound* memo
-key: two runs with equal digests produce byte-identical artifacts.
+file and of the Python, numpy, scipy and pickle-protocol versions.
+Because the simulated machine is byte-deterministic (same spec ⇒ same
+event trace, asserted by the determinism tests), the digest is a
+*sound* memo key: two runs with equal digests produce byte-identical
+artifacts.
 
 Canonicalization rules (asserted by ``tests/runcache/test_key.py``):
 
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
@@ -54,31 +58,57 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "pop_overhead_cycles": 150.0,
 }
 
+#: pinned so one store never mixes pickle encodings across interpreters
+PICKLE_PROTOCOL = 4
+
 _SALT_CACHE: Dict[str, str] = {}
 
 
-def code_version_salt() -> str:
-    """SHA-256 over every ``repro`` source file (path + contents).
+def runtime_versions() -> Dict[str, str]:
+    """What besides the source decides a cached artifact's bytes: the
+    interpreter, the numerical libraries and the pickle protocol.
+    Versions are read from package metadata, so nothing is imported."""
+    versions = {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "pickle": str(PICKLE_PROTOCOL),
+    }
+    for package in ("numpy", "scipy"):
+        try:
+            versions[package] = version(package)
+        except PackageNotFoundError:
+            versions[package] = "absent"
+    return versions
 
-    Any change to the engine, cost model, machine model, DES, or the
-    observation layers produces a new salt, invalidating every cached
-    entry — staleness is impossible by construction.  Computed once per
-    process (the tree is ~200 small files).
-    """
-    cached = _SALT_CACHE.get("salt")
-    if cached is not None:
-        return cached
+
+def source_salt(versions: Dict[str, str]) -> str:
+    """SHA-256 over ``versions`` and every ``repro`` source file (path
+    + contents)."""
     root = Path(__file__).resolve().parent.parent  # src/repro
     h = hashlib.sha256()
+    h.update(json.dumps(versions, sort_keys=True).encode())
+    h.update(b"\0")
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         h.update(rel.encode())
         h.update(b"\0")
         h.update(path.read_bytes())
         h.update(b"\0")
-    salt = h.hexdigest()
-    _SALT_CACHE["salt"] = salt
-    return salt
+    return h.hexdigest()
+
+
+def code_version_salt() -> str:
+    """:func:`source_salt` of this interpreter's :func:`runtime_versions`.
+
+    Any change to the engine, cost model, machine model, DES, or the
+    observation layers — or an upgrade of Python, numpy or scipy —
+    produces a new salt, invalidating every cached entry: staleness is
+    impossible by construction.  Computed once per process (the tree
+    is ~200 small files).
+    """
+    cached = _SALT_CACHE.get("salt")
+    if cached is None:
+        cached = _SALT_CACHE["salt"] = source_salt(runtime_versions())
+    return cached
 
 
 def _canon_value(value):

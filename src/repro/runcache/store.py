@@ -46,12 +46,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.runcache.key import RunSpec, code_version_salt, spec_digest
+from repro.runcache.key import (
+    PICKLE_PROTOCOL,
+    RunSpec,
+    code_version_salt,
+    spec_digest,
+)
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.schema import CACHE_STATS_SCHEMA
-
-#: pinned so one store never mixes pickle encodings across interpreters
-PICKLE_PROTOCOL = 4
 
 DEFAULT_MAX_BYTES = 512 * 2**20
 

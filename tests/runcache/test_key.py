@@ -9,7 +9,12 @@ from repro.concurrent import QueueMode
 from repro.core.costmodel import DEFAULT_COST_PARAMS
 from repro.faults import FaultPlan, WorkerCrash
 from repro.runcache import RunSpec, code_version_salt, spec_digest
-from repro.runcache.key import OPTION_DEFAULTS, params_to_spec
+from repro.runcache.key import (
+    OPTION_DEFAULTS,
+    params_to_spec,
+    runtime_versions,
+    source_salt,
+)
 
 
 def obs(**overrides) -> RunSpec:
@@ -148,6 +153,14 @@ def test_code_version_salt_is_a_stable_sha256():
     assert salt == code_version_salt()  # per-process cache
     assert len(salt) == 64
     int(salt, 16)  # hex
+
+
+@pytest.mark.parametrize("name", ["python", "numpy", "scipy", "pickle"])
+def test_changed_runtime_version_changes_the_salt(name):
+    versions = runtime_versions()
+    assert source_salt(versions) == code_version_salt()
+    changed = dict(versions, **{name: versions[name] + ".post1"})
+    assert source_salt(changed) != code_version_salt()
 
 
 # --------------------------------------------------------- validation
