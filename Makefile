@@ -7,6 +7,8 @@ PYTHON ?= python
 install:
 	pip install -e .
 
+# every smoke target writes under benchmarks/out/ (git-ignored): the
+# committed BENCH_*.json files are records, never rewritten by a test
 test: trace-smoke bench-smoke chaos-smoke perf-smoke cache-smoke report-smoke leaderboard-smoke resilience-smoke ensemble-smoke tune-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
@@ -22,11 +24,12 @@ trace-smoke:
 # produce the Al-1000 flamegraph, and validate both (buckets must
 # conserve the gap; LJ work inflation must dominate Al-1000)
 bench-smoke:
+	mkdir -p benchmarks/out
 	PYTHONPATH=src $(PYTHON) scripts/bench_attribution.py \
-		--out BENCH_attribution.json
+		--out benchmarks/out/BENCH_attribution.json
 	PYTHONPATH=src $(PYTHON) -m repro attribute --workload al1000 \
 		--threads 4 --steps 4 --out benchmarks/out/attr-smoke
-	$(PYTHON) scripts/check_bench.py BENCH_attribution.json \
+	$(PYTHON) scripts/check_bench.py benchmarks/out/BENCH_attribution.json \
 		--expect-lj-dominant \
 		--folded benchmarks/out/attr-smoke/flamegraph.folded
 
@@ -57,13 +60,13 @@ perf-smoke:
 		benchmarks/out/throughput-smoke.json \
 		--min-speedup 0 --max-overhead -1
 
-# run-cache effectiveness gate: regenerate BENCH_runcache.json (cold
+# run-cache effectiveness gate: regenerate the run-cache bench (cold
 # sweep into a fresh store, identical warm sweep, sampled byte-identity
 # verify) and require warm-over-cold >= 5x with hit rate >= 0.9
 cache-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_runcache.py \
-		--out BENCH_runcache.json
-	$(PYTHON) scripts/check_runcache.py BENCH_runcache.json
+		--out benchmarks/out/BENCH_runcache.json
+	$(PYTHON) scripts/check_runcache.py benchmarks/out/BENCH_runcache.json
 
 # end-to-end runtime-telemetry check: run the attribution sweep with a
 # telemetry run active (12 workload x thread configs, warm after
@@ -86,9 +89,10 @@ leaderboard-smoke:
 	rm -rf benchmarks/out/leaderboard-smoke
 	PYTHONPATH=src $(PYTHON) scripts/bench_toolerror.py \
 		--telemetry benchmarks/out/leaderboard-smoke \
-		--out BENCH_toolerror.json
+		--out benchmarks/out/leaderboard-smoke/BENCH_toolerror.json
 	PYTHONPATH=src $(PYTHON) -m repro report benchmarks/out/leaderboard-smoke
-	$(PYTHON) scripts/check_toolerror.py BENCH_toolerror.json
+	$(PYTHON) scripts/check_toolerror.py \
+		benchmarks/out/leaderboard-smoke/BENCH_toolerror.json
 
 # crash-safety gate: real-process chaos against the sweep orchestrator
 # (SIGKILLed pool workers, ENOSPC'd + truncated cache writes, a hung
@@ -98,18 +102,18 @@ leaderboard-smoke:
 # codes that distinguish partial success (3) from full success (0)
 resilience-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_resilience.py \
-		--out BENCH_resilience.json
-	$(PYTHON) scripts/check_resilience.py BENCH_resilience.json
+		--out benchmarks/out/BENCH_resilience.json
+	$(PYTHON) scripts/check_resilience.py benchmarks/out/BENCH_resilience.json
 
 # vectorized-ensemble gate: advance 100 seeded captures in lockstep
 # through the batched engine and require >= 10x execution-phase
 # aggregate events/s over the scalar path, byte-identical per-run
 # traces, byte-equal cache artifacts on both sweep paths, and a full
-# hit on resweep (the replay-batching break-even is recorded, ungated)
+# hit on resweep
 ensemble-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/bench_ensemble.py \
-		--out BENCH_ensemble.json
-	$(PYTHON) scripts/check_ensemble.py BENCH_ensemble.json
+		--out benchmarks/out/BENCH_ensemble.json
+	$(PYTHON) scripts/check_ensemble.py benchmarks/out/BENCH_ensemble.json
 
 # autotuner recovery gate: run the attribution-driven autotuner on
 # Al-1000 at 32 threads on the simulated 32-core machine (the paper's
@@ -121,10 +125,11 @@ tune-smoke:
 	rm -rf benchmarks/out/tune-smoke
 	PYTHONPATH=src $(PYTHON) scripts/bench_autotune.py \
 		--telemetry benchmarks/out/tune-smoke \
-		--out BENCH_autotune.json \
+		--out benchmarks/out/tune-smoke/BENCH_autotune.json \
 		--config-out benchmarks/out/tune-smoke/winning_config.json
 	PYTHONPATH=src $(PYTHON) -m repro report benchmarks/out/tune-smoke
-	$(PYTHON) scripts/check_autotune.py BENCH_autotune.json
+	$(PYTHON) scripts/check_autotune.py \
+		benchmarks/out/tune-smoke/BENCH_autotune.json
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -20,20 +20,14 @@ best of ``--reps`` repetitions with GC disabled, because the gate must
 hold on noisy shared machines.  Byte-identity is asserted on the
 pickled per-run traces.
 
-Two further sections prove the wiring and record the tradeoffs:
+A further section proves the wiring: **sweep** — two fresh caches
+swept end-to-end (``ensemble=False`` vs ``ensemble=True``): cached
+artifact bytes must match for every spec, the resweep must hit for
+every spec, and the end-to-end speedup (diluted by per-run
+build/prime/publication shared by both paths) is reported alongside
+the gated execution-phase number.
 
-* **sweep** — two fresh caches swept end-to-end (``ensemble=False``
-  vs ``ensemble=True``): cached artifact bytes must match for every
-  spec, the resweep must hit for every spec, and the end-to-end
-  speedup (diluted by per-run build/prime/publication shared by both
-  paths) is reported alongside the gated execution-phase number;
-* **replay** — the fault-free DES replays batched through the k-way
-  merged event loop.  Result-identical but measured break-even (the
-  per-event Python dispatch is serial either way), which is why
-  ``routing.BATCH_REPLAYS`` defaults to off; the measurement is kept
-  here so that call stays evidence-based.
-
-The payload (schema ``repro.ensemble_bench/1``) is gated by
+The payload (schema ``repro.ensemble_bench/2``) is gated by
 ``scripts/check_ensemble.py`` (``make ensemble-smoke``): execution
 speedup >= 10x, every run byte-identical, sweep semantics unchanged.
 
@@ -46,6 +40,7 @@ import gc
 import json
 import os
 import pickle
+import platform
 import shutil
 import sys
 import tempfile
@@ -58,7 +53,7 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-SCHEMA = "repro.ensemble_bench/1"
+SCHEMA = "repro.ensemble_bench/2"
 
 #: pickle protocol used for identity checks — matches the run cache
 PROTOCOL = 4
@@ -147,14 +142,6 @@ def main() -> int:
         help="comma-separated workloads measured once, ungated "
              "(default %(default)s; empty string to skip)",
     )
-    parser.add_argument(
-        "--replay-machine", default="i7-920",
-        help="simulated machine for the DES replay section",
-    )
-    parser.add_argument(
-        "--replay-threads", default="1,2,4,8",
-        help="comma-separated thread counts for the DES replay grid",
-    )
     from repro.telemetry.log import add_verbosity_flags, from_args
 
     add_verbosity_flags(parser)
@@ -167,27 +154,11 @@ def main() -> int:
         raise usage_error(f"--runs must be >= 2, got {args.runs}")
     if args.reps < 1:
         raise usage_error(f"--reps must be >= 1, got {args.reps}")
-    try:
-        replay_threads = [
-            int(t) for t in args.replay_threads.split(",") if t.strip()
-        ]
-    except ValueError:
-        raise usage_error(f"bad --replay-threads {args.replay_threads!r}")
-    if not replay_threads or any(t < 1 for t in replay_threads):
-        raise usage_error(f"bad --replay-threads {args.replay_threads!r}")
 
-    from repro.ensemble import routing
-    from repro.machine import MACHINES
     from repro.runcache import code_version_salt
-    from repro.runcache.key import RunSpec
     from repro.runcache.sweep import capture_spec
     from repro.workloads import BUILDERS, resolve_workload
 
-    if args.replay_machine not in MACHINES:
-        raise usage_error(
-            f"unknown machine {args.replay_machine!r} "
-            f"(choose from {', '.join(sorted(MACHINES))})"
-        )
     try:
         name = resolve_workload(args.workload)
     except KeyError:
@@ -254,14 +225,6 @@ def main() -> int:
         capture_spec(name, args.steps, seed=seed)
         for seed in range(args.runs)
     ]
-    replay_specs = [
-        RunSpec(
-            kind="chaos_ref", workload=name, steps=args.steps,
-            seed=seed, threads=threads, machine=args.replay_machine,
-        )
-        for seed in range(4)
-        for threads in replay_threads
-    ]
     tmp_root = tempfile.mkdtemp(prefix="repro-ensemble-bench-")
     try:
         scalar_cache, _sc, sweep_scalar_seconds = timed_sweep(
@@ -279,34 +242,14 @@ def main() -> int:
             specs, os.path.join(tmp_root, "ensemble"), ensemble=True
         )
         resweep_all_hits = resweep.hits == len(specs)
-
-        # -- replay section: the documented break-even ----------------
-        # BATCH_REPLAYS defaults to off; flip it here so the wired
-        # path is exercised and its cost stays measured.
-        rs_cache, _rs, rs_seconds = timed_sweep(
-            replay_specs,
-            os.path.join(tmp_root, "replay-scalar"),
-            ensemble=False,
-        )
-        routing.BATCH_REPLAYS = True
-        try:
-            re_cache, re_result, re_seconds = timed_sweep(
-                replay_specs,
-                os.path.join(tmp_root, "replay-ensemble"),
-                ensemble=True,
-            )
-        finally:
-            routing.BATCH_REPLAYS = False
-        replay_identical = all(
-            rs_cache.get_bytes(s) == re_cache.get_bytes(s)
-            for s in replay_specs
-        )
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
 
     payload = {
         "schema": SCHEMA,
-        "machine": MACHINES[args.replay_machine].name,
+        # the host the timings come from (no simulated machine here)
+        "machine": f"{platform.machine()} x{os.cpu_count()} "
+                   f"{platform.system()}",
         "workload": name,
         "steps": args.steps,
         "n_runs": args.runs,
@@ -330,16 +273,6 @@ def main() -> int:
             "ensemble_batches": ens_result.ensemble_batches,
             "ensemble_runs": ens_result.ensemble_runs,
         },
-        "replay": {
-            "machine": MACHINES[args.replay_machine].name,
-            "threads": replay_threads,
-            "n_runs": len(replay_specs),
-            "scalar_seconds": rs_seconds,
-            "ensemble_seconds": re_seconds,
-            "speedup": rs_seconds / re_seconds,
-            "identical": bool(replay_identical),
-            "ensemble_runs": re_result.ensemble_runs,
-        },
     }
 
     out_dir = os.path.dirname(args.out)
@@ -353,12 +286,6 @@ def main() -> int:
         speedup=payload["sweep"]["speedup"],
         cache_identical=cache_identical,
         resweep_all_hits=resweep_all_hits,
-    )
-    log.info(
-        "replay batching",
-        runs=len(replay_specs),
-        speedup=payload["replay"]["speedup"],
-        identical=replay_identical,
     )
     log.info("summary", out=args.out)
     return 0

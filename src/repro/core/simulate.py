@@ -271,7 +271,6 @@ class SimulatedParallelRun:
         self._plans = None
         self._phase_seconds: Dict[str, float] = defaultdict(float)
         self._phase_skews: Dict[str, List[float]] = defaultdict(list)
-        self._started = False
 
     def _hot_bytes_per_step(self, params: CostParams) -> float:
         """Mean bytes one timestep cycles through (after object-graph
@@ -387,10 +386,7 @@ class SimulatedParallelRun:
     def plans(self) -> list:
         """The per-step phase cost plans — a pure function of the
         trace and pricing configuration (never of the machine or its
-        seed), priced once and cached.  Batch replays share one plan
-        list between runs whose pricing inputs match via
-        :meth:`use_plans` (the records are frozen, so sharing cannot
-        change results)."""
+        seed), priced once and cached."""
         if self._plans is None:
             cm = self.cost_model
             self._plans = [
@@ -398,28 +394,15 @@ class SimulatedParallelRun:
             ]
         return self._plans
 
-    def use_plans(self, plans: list) -> None:
-        """Adopt another run's precomputed :meth:`plans` list."""
-        self._plans = plans
-
-    def start(self) -> None:
-        """Arm the replay: spawn the master thread on the machine
-        without draining the event queue.  Pair with :meth:`finish`
-        after the machine (or a merged multi-run loop — see
-        :mod:`repro.ensemble.des`) has run to completion."""
-        if self._started:
-            raise RuntimeError("replay already started")
-        self._started = True
+    def run(self) -> RunResult:
+        """Execute the replay to completion and collect the results."""
         self._finished_at = None
         self.machine.thread(
             self._master_body(self._phase_seconds, self._phase_skews),
             "master",
             affinity=self._master_affinity,
         )
-
-    def finish(self) -> RunResult:
-        """Collect the result of a :meth:`start`-ed replay whose
-        machine has fully drained."""
+        self.machine.run()
         trace = self.machine.scheduler.trace
         finished = (
             self._finished_at
@@ -448,9 +431,3 @@ class SimulatedParallelRun:
             steals=list(getattr(self.pool, "steals", [])),
             machine=self.machine,
         )
-
-    def run(self) -> RunResult:
-        """Execute the replay to completion and collect the results."""
-        self.start()
-        self.machine.run()
-        return self.finish()

@@ -1,46 +1,26 @@
-"""Vectorized ensemble execution: many independent runs per sweep.
+"""Seed ensembles: many independent runs of one workload per sweep.
 
-A parameter sweep over seeds replays the same physics pipeline dozens
-to thousands of times on systems that differ only in their kinematic
-state.  Running each replica through the scalar engine pays the full
-per-call numpy/Python overhead per run — the dominant cost for the
-small systems sweeps use.  This package batches the replicas instead:
+A parameter sweep over seeds runs the same physics pipeline dozens to
+thousands of times on systems that differ only in their kinematic
+state.  Stepping each run alone pays the full per-call numpy/Python
+overhead per run — the dominant cost for the small systems sweeps use.
+The MD engine (:mod:`repro.md.engine`) advances any number of runs in
+lockstep on ``(n_runs, n_atoms, 3)`` stacks, a scalar run being a batch
+of one, so batched and scalar runs share every line of physics and
+their per-run traces are byte-identical.  This package puts it to work:
 
-* :class:`~repro.ensemble.engine.EnsembleMDEngine` advances ``R`` runs
-  at once on ``(n_runs, n_atoms, 3)`` structure-of-arrays stacks,
-  reusing the *scalar* integrator/boundary/kernel code on flattened
-  views so the two paths cannot drift — per-run step reports are
-  byte-identical (pickle protocol 4) to scalar captures by
-  construction, which keeps the content-addressed run cache sound.
-* :class:`~repro.ensemble.des.MultiSimulator` merges the event
-  processing of independent DES replays in global timestamp order
-  (:func:`~repro.ensemble.des.replay_batch`), sharing the pure
-  per-step cost plans between runs that differ only in seed/machine.
-* :func:`~repro.ensemble.routing.route_misses` is the sweep hook:
-  homogeneous cache-miss batches are detected and executed vectorized,
-  each run published under its own spec digest with the same journal
-  records a pool worker would write — cache/journal/leaderboard
-  consumers see no difference.
-
-Runs whose configuration the batched path cannot reproduce exactly
-raise :class:`~repro.ensemble.engine.EnsembleUnsupported` and fall
-back to the scalar path transparently.
+* :class:`~repro.ensemble.engine.EnsembleMDEngine` /
+  :func:`~repro.ensemble.engine.ensemble_capture` — one trace per seed
+  from one batched capture;
+* :func:`~repro.ensemble.routing.route_misses` — the sweep hook that
+  executes a sweep's capture misses of one workload as one batch and
+  publishes each run under its own spec digest, with the journal
+  records a pool worker would write.
 """
 
-from repro.ensemble.des import MultiSimulator, replay_batch
-from repro.ensemble.engine import (
-    EnsembleMDEngine,
-    EnsembleUnsupported,
-    ensemble_capture,
-)
-from repro.ensemble.system import EnsembleState, FlatSystemView
+from repro.ensemble.engine import EnsembleMDEngine, ensemble_capture
 
 __all__ = [
     "EnsembleMDEngine",
-    "EnsembleState",
-    "EnsembleUnsupported",
-    "FlatSystemView",
-    "MultiSimulator",
     "ensemble_capture",
-    "replay_batch",
 ]

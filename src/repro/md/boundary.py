@@ -38,7 +38,7 @@ class ReflectiveBox(Boundary):
 
     def apply(self, positions: np.ndarray, velocities: np.ndarray) -> None:
         # indexed as [..., axis] so the same code serves scalar (n, 3)
-        # systems and ensemble (n_runs, n, 3) stacks (with a per-run
+        # systems and (n_runs, n, 3) run stacks (with a per-run
         # (n_runs, 1, 3) box)
         box = self.box
         for axis in range(3):

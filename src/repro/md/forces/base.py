@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.md.boundary import Boundary
 from repro.md.neighbors import NeighborList
-from repro.md.system import AtomSystem
+from repro.md.system import AtomSystem, SystemStack
 
 
 @dataclass
@@ -34,11 +34,9 @@ class ForceResult:
     bytes_regular: float
 
     @staticmethod
-    def empty(shape: Union[int, Tuple[int, ...]]) -> "ForceResult":
-        """A zero result (no terms evaluated).  ``shape`` is the
-        per-atom-work shape: ``n_atoms`` for a scalar system, or a
-        tuple such as ``(n_runs, n_atoms)`` for an ensemble stack."""
-        return ForceResult(0.0, 0, np.zeros(shape), 0.0, 0.0, 0.0)
+    def empty(n_atoms: int) -> "ForceResult":
+        """A zero result (no terms evaluated)."""
+        return ForceResult(0.0, 0, np.zeros(n_atoms), 0.0, 0.0, 0.0)
 
 
 #: read-only constant-weight buffers for :func:`owner_counts`, keyed by
@@ -78,9 +76,9 @@ def scatter_forces(forces_out, indices, vectors) -> None:
     accumulate in exactly the same sequence (block by block, term
     order within each block), so the sums are bitwise identical while
     avoiding ``ufunc.at``'s per-element dispatch — the difference
-    between the scalar and the merged-ensemble scatter being a wash
+    between the per-run and the merged run-stack scatter being a wash
     or a ~6x win.  The same call on the flattened ``(n_runs·n, 3)``
-    ensemble view reproduces every run's scalar scatter exactly,
+    view of a run stack reproduces every run's scalar scatter exactly,
     because run-offset indices keep each run's additions in their own
     bins and in the same order."""
     idx = indices[0] if len(indices) == 1 else np.concatenate(indices)
@@ -90,11 +88,78 @@ def scatter_forces(forces_out, indices, vectors) -> None:
         forces_out[:, k] += np.bincount(idx, weights=vec[:, k], minlength=n)
 
 
+class Runs:
+    """How one evaluation's terms split over the runs of its system.
+
+    A :class:`~repro.md.system.SystemStack` holds ``n_runs`` runs and
+    gets one :class:`ForceResult` per run; a plain
+    :class:`~repro.md.system.AtomSystem` is one run and gets that run's
+    result alone (:meth:`collect`).  ``flat`` is the system the
+    index-based kernels evaluate: the stack's ``(R·N)``-atom view, in
+    which run ``r``'s terms carry owner indices in ``[r·N, (r+1)·N)``.
+    """
+
+    def __init__(self, system: Union[AtomSystem, SystemStack]):
+        self.stacked = isinstance(system, SystemStack)
+        self.n_runs = system.n_runs if self.stacked else 1
+        self.n_atoms = system.n_atoms
+        self.flat = system.flat if self.stacked else system
+
+    def collect(self, results: Iterable[ForceResult]):
+        results = list(results)
+        return results if self.stacked else results[0]
+
+    def empty(self):
+        return self.collect(
+            ForceResult.empty(self.n_atoms) for _ in range(self.n_runs)
+        )
+
+    def tally(self, owner: np.ndarray, e_terms: np.ndarray,
+              weight: float = 1.0):
+        """Per-run ``(counts, terms, energies)`` of a run-major merged
+        term array: the ``(R, N)`` owner tallies (:func:`owner_counts`),
+        and each run's term count and energy sum."""
+        R, N = self.n_runs, self.n_atoms
+        counts = owner_counts(owner, R * N, weight).reshape(R, N)
+        if R == 1:
+            terms = [len(owner)]
+        else:
+            terms = np.bincount(owner // N, minlength=R).tolist()
+        return counts, terms, segment_sums(e_terms, terms)
+
+
+def segment_sums(e_terms: np.ndarray, terms: List[int]) -> List[float]:
+    """Per-run energy: the sum of each run's contiguous slice of the
+    run-major term array, ``terms[r]`` terms long.
+
+    When every run has the same term count (no rebuild divergence —
+    the common case), one ``reshape(R, m).sum(axis=1)`` replaces R
+    separate ``.sum()`` dispatches.  Bit-identical by construction:
+    reducing a C-contiguous 2-D array over its last axis applies the
+    same pairwise summation to each row that ``row.sum()`` applies to
+    the identical slice of memory.
+    """
+    m = terms[0] if terms else 0
+    if m and all(v == m for v in terms):
+        return e_terms.reshape(len(terms), m).sum(axis=1).tolist()
+    offs = np.concatenate(([0], np.cumsum(terms))).tolist()
+    return [
+        float(e_terms[offs[r]:offs[r + 1]].sum()) if terms[r] else 0.0
+        for r in range(len(terms))
+    ]
+
+
 class Force(abc.ABC):
     """One interatomic interaction family."""
 
     #: short identifier used in phase reports ("lj", "coulomb", "bond"...)
     name: str = "force"
+
+    #: whether :meth:`compute` also takes a
+    #: :class:`~repro.md.system.SystemStack` (one evaluation for every
+    #: run, one result per run); the engine evaluates other forces —
+    #: and owner-restricted copies — run by run on each run's system
+    batched: bool = False
 
     @abc.abstractmethod
     def compute(
@@ -105,7 +170,12 @@ class Force(abc.ABC):
         forces_out: np.ndarray,
     ) -> ForceResult:
         """Accumulate forces (eV/Å) into ``forces_out`` and return the
-        result record.  Must be additive: callers zero the buffer."""
+        result record.  Must be additive: callers zero the buffer.
+
+        A :attr:`batched` force given a ``SystemStack`` accumulates
+        into the ``(R, N, 3)`` ``forces_out`` and returns a list of
+        ``R`` results; ``neighbors`` is then the run-offset merged
+        list over the stack's ``flat`` view."""
 
     def uses_neighbor_list(self) -> bool:
         """Whether this force consumes the Verlet list (phase-fusion

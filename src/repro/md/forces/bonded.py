@@ -14,17 +14,13 @@ irregular — bond endpoints are scattered through the atom array.
 
 from __future__ import annotations
 
-from typing import Optional
+import copy
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.md.boundary import Boundary
-from repro.md.forces.base import (
-    Force,
-    ForceResult,
-    owner_counts,
-    scatter_forces,
-)
+from repro.md.forces.base import Force, ForceResult, Runs, scatter_forces
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
 
@@ -48,20 +44,88 @@ def _per_term(value, m: int, name: str) -> np.ndarray:
     return out
 
 
-class RadialBondForce(Force):
+class _BondedForce(Force):
+    """What the three bond-list forces share: one term per row of an
+    ``(M, k)`` atom-index array, owned by its first atom, with per-term
+    parameter arrays.  ``_bundle`` indexes only through those arrays,
+    so a copy with run-offset indices and tiled parameters evaluates a
+    whole run stack on its ``flat`` view."""
+
+    batched = True
+    #: the attribute holding the ``(M, k)`` atom-index array
+    index: str
+    #: the per-term parameter arrays
+    params: Tuple[str, ...]
+    flops_per_term: float
+    #: cache lines gathered per term (bond endpoints are scattered)
+    lines_per_term: int
+    #: per-atom work credited to a term's owner
+    work_weight: float
+    #: ``((n_runs, n_atoms), copy)`` of the last :meth:`_for_runs`
+    _merged = None
+
+    @property
+    def n_terms(self) -> int:
+        return len(getattr(self, self.index))
+
+    def _for_runs(self, n_runs: int, n_atoms: int) -> "_BondedForce":
+        """This force over a stack of ``n_runs`` runs (cached)."""
+        if n_runs == 1:
+            return self
+        key = (n_runs, n_atoms)
+        if self._merged is None or self._merged[0] != key:
+            merged = copy.copy(self)
+            idx = getattr(self, self.index)
+            setattr(merged, self.index, np.concatenate(
+                [idx + r * n_atoms for r in range(n_runs)]
+            ))
+            for name in self.params:
+                setattr(merged, name, np.tile(getattr(self, name), n_runs))
+            self._merged = (key, merged)
+        return self._merged[1]
+
+    def compute(
+        self,
+        system: AtomSystem,
+        boundary: Boundary,
+        neighbors: Optional[NeighborList],
+        forces_out: np.ndarray,
+    ) -> ForceResult:
+        runs = Runs(system)
+        m = self.n_terms
+        if m == 0:
+            return runs.empty()
+        owner, e_terms = self._for_runs(runs.n_runs, runs.n_atoms)._bundle(
+            runs.flat, boundary, forces_out.reshape(-1, 3)
+        )
+        counts, _, energies = runs.tally(owner, e_terms, self.work_weight)
+        return runs.collect(
+            ForceResult(
+                energy=energy,
+                terms=m,
+                per_atom_work=counts[r],
+                flops=self.flops_per_term * m,
+                bytes_irregular=self.lines_per_term * LINE_BYTES * m,
+                bytes_regular=0.0,
+            )
+            for r, energy in enumerate(energies)
+        )
+
+
+class RadialBondForce(_BondedForce):
     """Harmonic stretch: U = ½ k (r - r0)²."""
 
     name = "bond-radial"
+    index, params = "bonds", ("k", "r0")
+    flops_per_term, lines_per_term, work_weight = RADIAL_FLOPS, 2, 1.0
+    # bound per class, so per-class instrumentation times each kernel
+    compute = _BondedForce.compute
 
     def __init__(self, bonds, k, r0):
         self.bonds = _as_index_array(bonds, 2, "bonds")
         m = len(self.bonds)
         self.k = _per_term(k, m, "k")
         self.r0 = _per_term(r0, m, "r0")
-
-    @property
-    def n_bonds(self) -> int:
-        return len(self.bonds)
 
     def restrict(self, lo: int, hi: int) -> "RadialBondForce":
         """Copy with only the bonds owned (first atom) in [lo, hi)."""
@@ -75,9 +139,7 @@ class RadialBondForce(Force):
         )
 
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):
-        """Term math + scatter; returns ``(owner, e_terms)``.  Indexes
-        only through ``self.bonds``, so a merged run-offset copy works
-        on the flattened ensemble view (see ``repro.ensemble``)."""
+        """Term math + scatter; returns ``(owner, e_terms)``."""
         a, b = self.bonds[:, 0], self.bonds[:, 1]
         dr = boundary.displacement(system.positions[a] - system.positions[b])
         r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
@@ -88,33 +150,15 @@ class RadialBondForce(Force):
         scatter_forces(forces_out, (a, b), (fvec, -fvec))
         return a, 0.5 * self.k * stretch * stretch
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_bonds == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_bonds,
-            per_atom_work=per_atom,
-            flops=RADIAL_FLOPS * self.n_bonds,
-            bytes_irregular=2 * LINE_BYTES * self.n_bonds,
-            bytes_regular=0.0,
-        )
 
-
-class AngularBondForce(Force):
+class AngularBondForce(_BondedForce):
     """Harmonic bend: U = ½ k (θ - θ0)², vertex is the middle atom."""
 
     name = "bond-angular"
+    index, params = "triples", ("k", "theta0")
+    flops_per_term, lines_per_term, work_weight = ANGULAR_FLOPS, 3, 2.0
+    # bound per class, so per-class instrumentation times each kernel
+    compute = _BondedForce.compute
 
     def __init__(self, triples, k, theta0):
         self.triples = _as_index_array(triples, 3, "triples")
@@ -123,10 +167,6 @@ class AngularBondForce(Force):
         self.theta0 = np.broadcast_to(
             np.asarray(theta0, dtype=np.float64), (m,)
         ).copy()
-
-    @property
-    def n_angles(self) -> int:
-        return len(self.triples)
 
     def restrict(self, lo: int, hi: int) -> "AngularBondForce":
         """Copy with only the angles owned (first atom) in [lo, hi)."""
@@ -169,33 +209,15 @@ class AngularBondForce(Force):
         dtheta = theta - self.theta0
         return a, 0.5 * self.k * dtheta * dtheta
 
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_angles == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n, weight=2.0)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_angles,
-            per_atom_work=per_atom,
-            flops=ANGULAR_FLOPS * self.n_angles,
-            bytes_irregular=3 * LINE_BYTES * self.n_angles,
-            bytes_regular=0.0,
-        )
 
-
-class TorsionalBondForce(Force):
+class TorsionalBondForce(_BondedForce):
     """Cosine dihedral: U = ½ V (1 + cos(n φ - φ0)) over atom quads."""
 
     name = "bond-torsional"
+    index, params = "quads", ("v", "periodicity", "phi0")
+    flops_per_term, lines_per_term, work_weight = TORSIONAL_FLOPS, 4, 3.0
+    # bound per class, so per-class instrumentation times each kernel
+    compute = _BondedForce.compute
 
     def __init__(self, quads, v, periodicity=1, phi0=0.0):
         self.quads = _as_index_array(quads, 4, "quads")
@@ -207,10 +229,6 @@ class TorsionalBondForce(Force):
         self.phi0 = np.broadcast_to(
             np.asarray(phi0, dtype=np.float64), (m,)
         ).copy()
-
-    @property
-    def n_torsions(self) -> int:
-        return len(self.quads)
 
     def restrict(self, lo: int, hi: int) -> "TorsionalBondForce":
         """Copy with only the torsions owned (first atom) in [lo, hi)."""
@@ -229,28 +247,6 @@ class TorsionalBondForce(Force):
             self.v,
             self.periodicity,
             self.phi0,
-        )
-
-    def compute(
-        self,
-        system: AtomSystem,
-        boundary: Boundary,
-        neighbors: Optional[NeighborList],
-        forces_out: np.ndarray,
-    ) -> ForceResult:
-        n = system.n_atoms
-        if self.n_torsions == 0:
-            return ForceResult.empty(n)
-        a, e_terms = self._bundle(system, boundary, forces_out)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(a, n, weight=3.0)
-        return ForceResult(
-            energy=energy,
-            terms=self.n_torsions,
-            per_atom_work=per_atom,
-            flops=TORSIONAL_FLOPS * self.n_torsions,
-            bytes_irregular=4 * LINE_BYTES * self.n_torsions,
-            bytes_regular=0.0,
         )
 
     def _bundle(self, system: AtomSystem, boundary: Boundary, forces_out):

@@ -49,9 +49,8 @@ per-pair gather + ``bincount`` scatter over :func:`half_shell_pairs`:
 
 An ``owner_range`` copy (:meth:`CoulombForce.restrict`) evaluates only
 its ``w`` owned charged columns, so the P copies of a parallel run
-together do one evaluation's pair work.  The same function serves the
-ensemble engine: a leading run axis on the positions evaluates every
-run's ring at once.
+together do one evaluation's pair work.  A leading run axis on the
+positions (a run stack) evaluates every run's ring at once.
 
 Memory character: the charged atoms are visited "in a linear fashion,
 taking advantage of spatial memory locality if most atoms are charged"
@@ -67,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.md.boundary import Boundary
-from repro.md.forces.base import Force, ForceResult
+from repro.md.forces.base import Force, ForceResult, Runs
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
 from repro.md.units import COULOMB_K
@@ -133,7 +132,7 @@ def ring_coulomb(
     by charged columns ``cols = (lo, hi)``.
 
     ``positions`` is ``(..., m, 3)`` — one system, or an ``(R, m, 3)``
-    ensemble stack whose runs are evaluated independently; ``charges``
+    run stack whose runs are evaluated independently; ``charges``
     and ``movable`` are the shared ``(m,)`` per-atom arrays.  Returns
     ``None`` when no pair is kept, else ``(forces, e_terms, counts)``:
     the ``(..., m, 3)`` force sums to add onto the charged atoms, the
@@ -242,6 +241,11 @@ class CoulombForce(Force):
         self.min_distance = min_distance
         self.owner_range = owner_range
 
+    @property
+    def batched(self) -> bool:
+        """Unrestricted copies evaluate a whole run stack at once."""
+        return self.owner_range is None
+
     def restrict(self, lo: int, hi: int) -> "CoulombForce":
         """A copy computing only pairs whose owner atom is in [lo, hi)."""
         return CoulombForce(self.min_distance, owner_range=(lo, hi))
@@ -255,11 +259,11 @@ class CoulombForce(Force):
         forces_out: np.ndarray,
     ):
         """Add the Coulomb forces of ``positions`` — ``(n, 3)``, or an
-        ``(R, n, 3)`` ensemble stack sharing the ``(n,)`` ``charges``
-        and ``movable`` arrays — onto ``forces_out`` of the same shape.
-        The one evaluation site of scalar and ensemble runs: returns
-        ``None`` when no pair is kept, else the kept energy terms in
-        pair order ``(..., n_terms)`` and the ``(n,)`` per-atom work."""
+        ``(R, n, 3)`` run stack sharing the ``(n,)`` ``charges`` and
+        ``movable`` arrays — onto ``forces_out`` of the same shape.
+        Returns ``None`` when no pair is kept, else the kept energy
+        terms in pair order ``(..., n_terms)`` and the ``(n,)``
+        per-atom work."""
         n = positions.shape[-2]
         charged = np.nonzero(charges != 0.0)[0]
         m = len(charged)
@@ -296,19 +300,27 @@ class CoulombForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
+        runs = Runs(system)
         ring = self.accumulate(
             system.positions, system.charges, system.movable, boundary,
             forces_out,
         )
         if ring is None:
-            return ForceResult.empty(system.n_atoms)
+            return runs.empty()
         e_terms, per_atom = ring
         n_terms = e_terms.shape[-1]
-        return ForceResult(
-            energy=float(np.sum(e_terms)),
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=0.0,
-            bytes_regular=REGULAR_BYTES_PER_ATOM * len(system.charged),
+        energies = e_terms.reshape(runs.n_runs, n_terms).sum(axis=1)
+        streamed = REGULAR_BYTES_PER_ATOM * len(system.charged)
+        # one per-atom array serves every run: each run's trace is
+        # pickled on its own, so the sharing never reaches the bytes
+        return runs.collect(
+            ForceResult(
+                energy=energy,
+                terms=n_terms,
+                per_atom_work=per_atom,
+                flops=FLOPS_PER_PAIR * n_terms,
+                bytes_irregular=0.0,
+                bytes_regular=streamed,
+            )
+            for energy in energies.tolist()
         )

@@ -18,12 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.md.boundary import Boundary
-from repro.md.forces.base import (
-    Force,
-    ForceResult,
-    owner_counts,
-    scatter_forces,
-)
+from repro.md.forces.base import Force, ForceResult, Runs, scatter_forces
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
 
@@ -100,19 +95,28 @@ class LennardJonesForce(Force):
     def uses_neighbor_list(self) -> bool:
         return True
 
+    @property
+    def batched(self) -> bool:
+        """Owner ranges are atom indices of one run, so only the
+        unrestricted force evaluates a whole stack at once."""
+        return self.owner_range is None
+
     def _bundle(
         self,
         system: AtomSystem,
         boundary: Boundary,
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
+        run_atoms: int = 0,
     ):
         """Core of :meth:`compute`: filter the candidate pairs,
         accumulate forces into ``forces_out`` and return
         ``(owner, e_terms)`` — the owning atom index and shifted energy
         of every evaluated pair — or ``None`` when no pair survives.
-        Index-agnostic: the ensemble engine calls it once on the
-        flattened ``(n_runs·n, 3)`` view with run-offset pair indices."""
+        Index-agnostic: a run stack's ``flat`` view with the run-offset
+        merged pair list evaluates every run at once, exclusions being
+        matched on indices modulo ``run_atoms`` (the atoms per run).
+        """
         if neighbors is None or not neighbors.built:
             raise RuntimeError("LJ force requires a built neighbor list")
         i, j, dr = neighbors.pairs_within(system.positions, boundary)
@@ -124,7 +128,10 @@ class LennardJonesForce(Force):
             keep = system.movable[i] | system.movable[j]
             i, j, dr = i[keep], j[keep], dr[keep]
         if self._exclusion_keys is not None and len(i):
-            keys = i << 32 | j
+            keys = (
+                (i % run_atoms) << 32 | (j % run_atoms)
+                if run_atoms else i << 32 | j
+            )
             keep = ~np.isin(keys, self._exclusion_keys, assume_unique=False)
             i, j, dr = i[keep], j[keep], dr[keep]
         if len(i) == 0:
@@ -162,20 +169,23 @@ class LennardJonesForce(Force):
         neighbors: Optional[NeighborList],
         forces_out: np.ndarray,
     ) -> ForceResult:
-        n = system.n_atoms
-        bundle = self._bundle(system, boundary, neighbors, forces_out)
+        runs = Runs(system)
+        bundle = self._bundle(
+            runs.flat, boundary, neighbors, forces_out.reshape(-1, 3),
+            runs.n_atoms if runs.n_runs > 1 else 0,
+        )
         if bundle is None:
-            return ForceResult.empty(n)
-        i, e_terms = bundle
-        n_terms = len(i)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(i, n)
-        owners = int((per_atom > 0).sum())
-        return ForceResult(
-            energy=energy,
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=IRREGULAR_BYTES_PER_PAIR * n_terms,
-            bytes_regular=REGULAR_BYTES_PER_ATOM * owners,
+            return runs.empty()
+        counts, terms, energies = runs.tally(*bundle)
+        owners = (counts > 0).sum(axis=1).tolist()
+        return runs.collect(
+            ForceResult(
+                energy=energies[r],
+                terms=m,
+                per_atom_work=counts[r],
+                flops=FLOPS_PER_PAIR * m,
+                bytes_irregular=IRREGULAR_BYTES_PER_PAIR * m,
+                bytes_regular=REGULAR_BYTES_PER_ATOM * owners[r],
+            ) if m else ForceResult.empty(runs.n_atoms)
+            for r, m in enumerate(terms)
         )

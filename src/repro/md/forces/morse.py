@@ -16,12 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.md.boundary import Boundary
-from repro.md.forces.base import (
-    Force,
-    ForceResult,
-    owner_counts,
-    scatter_forces,
-)
+from repro.md.forces.base import Force, ForceResult, Runs, scatter_forces
 from repro.md.neighbors import NeighborList
 from repro.md.system import AtomSystem
 
@@ -70,6 +65,11 @@ class MorseForce(Force):
     def uses_neighbor_list(self) -> bool:
         """Morse is cutoff-bounded: it consumes the Verlet list."""
         return True
+
+    @property
+    def batched(self) -> bool:
+        """As :attr:`LennardJonesForce.batched`."""
+        return self.owner_range is None
 
     def restrict(self, lo: int, hi: int) -> "MorseForce":
         """Copy computing only pairs owned (lower index) in [lo, hi)."""
@@ -129,19 +129,21 @@ class MorseForce(Force):
         forces_out: np.ndarray,
     ) -> ForceResult:
         """Accumulate Morse forces; see :class:`Force`."""
-        n = system.n_atoms
-        bundle = self._bundle(system, boundary, neighbors, forces_out)
+        runs = Runs(system)
+        bundle = self._bundle(
+            runs.flat, boundary, neighbors, forces_out.reshape(-1, 3)
+        )
         if bundle is None:
-            return ForceResult.empty(n)
-        i, e_terms = bundle
-        n_terms = len(i)
-        energy = float(np.sum(e_terms))
-        per_atom = owner_counts(i, n)
-        return ForceResult(
-            energy=energy,
-            terms=n_terms,
-            per_atom_work=per_atom,
-            flops=FLOPS_PER_PAIR * n_terms,
-            bytes_irregular=IRREGULAR_BYTES_PER_PAIR * n_terms,
-            bytes_regular=0.0,
+            return runs.empty()
+        counts, terms, energies = runs.tally(*bundle)
+        return runs.collect(
+            ForceResult(
+                energy=energies[r],
+                terms=m,
+                per_atom_work=counts[r],
+                flops=FLOPS_PER_PAIR * m,
+                bytes_irregular=IRREGULAR_BYTES_PER_PAIR * m,
+                bytes_regular=0.0,
+            ) if m else ForceResult.empty(runs.n_atoms)
+            for r, m in enumerate(terms)
         )

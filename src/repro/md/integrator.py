@@ -43,8 +43,8 @@ class TaylorPredictorCorrector:
 
         All three methods index the kinematic arrays as ``[..., sl, :]``
         so they operate unchanged on both scalar ``(n, 3)`` systems and
-        stacked ``(n_runs, n, 3)`` ensemble systems (the atom axis is
-        always second-from-last)."""
+        ``(n_runs, n, 3)`` run stacks (the atom axis is always
+        second-from-last)."""
         dt = self.dt
         sl = slice(lo, hi)
         mv = system.movable[sl]
@@ -78,4 +78,5 @@ class TaylorPredictorCorrector:
         a[..., mv, :] = (
             system.forces[..., mv, :] / system.masses[mv, None] * ACCEL_UNIT
         )
-        system.accelerations = a
+        # in place: the arrays may be rows of a run stack
+        system.accelerations[...] = a

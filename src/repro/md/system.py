@@ -9,6 +9,7 @@ layout — and its cache consequences — is modelled separately in
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -239,3 +240,69 @@ class AtomSystem:
             f"AtomSystem(n={self.n_atoms}, box={self.box.tolist()}, "
             f"charged={len(self.charged)})"
         )
+
+
+#: static per-atom arrays every run of a :class:`SystemStack` shares
+SHARED_FIELDS = ("masses", "charges", "sigma", "epsilon", "movable")
+
+
+class SystemStack:
+    """``R`` runs of one system, advanced together.
+
+    The kinematic arrays (``positions``, ``velocities``,
+    ``accelerations``, ``forces``) are ``(R, N, 3)`` stacks; the static
+    per-atom arrays (:data:`SHARED_FIELDS`) are the first run's, which
+    every run must share.  Each run's :class:`AtomSystem` keeps its
+    kinematic arrays as rows of the stacks, so an in-place write
+    through either side is one state: a single run's stack is a view
+    of its system's arrays (``positions[None]``, no copy); for more
+    runs the stacks are fresh and each system is rebound to its rows.
+
+    ``flat`` presents the stacks to index-based kernels as one
+    ``(R·N)``-atom system: run ``r`` owns atoms ``[r·N, (r+1)·N)``, and
+    the static arrays are tiled (for one run it is the run's system).
+    """
+
+    KINEMATIC = ("positions", "velocities", "accelerations", "forces")
+
+    def __init__(self, systems: Sequence[AtomSystem]):
+        base = systems[0]
+        self.n_runs = len(systems)
+        self.n_atoms = base.n_atoms
+        for name in self.KINEMATIC:
+            if self.n_runs == 1:
+                stack = getattr(base, name)[None]
+            else:
+                stack = np.stack([getattr(s, name) for s in systems])
+                for system, row in zip(systems, stack):
+                    setattr(system, name, row)
+            setattr(self, name, stack)
+        for name in SHARED_FIELDS:
+            setattr(self, name, getattr(base, name))
+        self.flat = base if self.n_runs == 1 else SimpleNamespace(
+            n_atoms=self.n_runs * self.n_atoms,
+            positions=self.positions.reshape(-1, 3),
+            **{
+                name: np.tile(getattr(base, name), self.n_runs)
+                for name in SHARED_FIELDS
+            },
+        )
+
+    @property
+    def charged(self) -> np.ndarray:
+        """Indices of the charged atoms (shared by every run)."""
+        return np.nonzero(self.charges != 0.0)[0]
+
+
+def shared_field_mismatches(systems: Sequence[AtomSystem]) -> list:
+    """Names of the static arrays that differ across ``systems`` —
+    empty when they can share one :class:`SystemStack`."""
+    base = systems[0]
+    return [
+        name
+        for name in SHARED_FIELDS
+        if any(
+            not np.array_equal(getattr(s, name), getattr(base, name))
+            for s in systems[1:]
+        )
+    ]

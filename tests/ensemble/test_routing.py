@@ -1,14 +1,13 @@
 """Sweep-level routing: the ensemble path must be invisible to every
 cache/journal consumer — byte-equal artifacts under the runs' own
 digests, the same journal records a pool worker would write, and a
-transparent scalar fallback when a batch cannot be vectorized."""
+transparent scalar fallback when a batch fails mid-flight."""
 
 import json
 
 import pytest
 
 from repro.ensemble import routing
-from repro.ensemble.engine import EnsembleUnsupported
 from repro.runcache import RunCache, capture_spec, sweep
 from repro.runcache.key import RunSpec
 from repro.runcache.resilience import JOURNAL_NAME
@@ -22,21 +21,6 @@ def capture_specs():
     return [
         capture_spec(WORKLOAD, STEPS, seed=seed)
         for seed in range(N_RUNS)
-    ]
-
-
-def replay_specs():
-    return [
-        RunSpec(
-            kind="chaos_ref",
-            workload=WORKLOAD,
-            steps=STEPS,
-            seed=seed,
-            threads=threads,
-            machine="i7-920",
-        )
-        for seed in range(2)
-        for threads in (1, 2)
     ]
 
 
@@ -109,58 +93,34 @@ def test_journal_records_are_equivalent_across_paths(tmp_path):
     assert all(kind != "failed" for kind, _ in ens)
 
 
-def test_unsupported_batch_falls_back_to_scalar(tmp_path, monkeypatch):
-    """No registered workload naturally trips EnsembleUnsupported at
-    the routing layer (they are all reflective-box, unthermostatted),
-    so force it: results must still land, bit-equal, with zero batches
-    counted."""
+def test_failed_batch_falls_back_to_scalar(tmp_path, monkeypatch):
+    """A batch that raises mid-flight leaves ``failed`` journal records
+    and its runs to the scalar path: results must still land, bit-equal,
+    with zero batches counted."""
 
-    def unsupported(items):
-        raise EnsembleUnsupported("forced by test")
+    def failing(items):
+        raise RuntimeError("forced by test")
 
-    monkeypatch.setattr(routing, "_prepare_capture", unsupported)
+    monkeypatch.setattr(routing, "_capture_batch", failing)
     specs = capture_specs()
     cache = RunCache(tmp_path / "fallback")
-    result = sweep(specs, cache, jobs=1, ensemble=True)
+    result = sweep(specs, cache, jobs=1, ensemble=True, journal=tmp_path)
     assert (result.ensemble_batches, result.ensemble_runs) == (0, 0)
     assert result.ok
+    records = [
+        json.loads(line)
+        for line in (tmp_path / JOURNAL_NAME).read_text().splitlines()
+    ]
+    assert sum(rec["kind"] == "failed" for rec in records) == N_RUNS
 
     reference = RunCache(tmp_path / "reference")
     sweep(specs, reference, jobs=1, ensemble=False)
     assert_caches_byte_equal(cache, reference, specs)
 
 
-# ------------------------------------------------- replay-batch routing
-
-
-def test_replays_are_not_batched_by_default(tmp_path):
-    """BATCH_REPLAYS defaults to off (the merge is measured
-    break-even); fault-free replays must stay on the pool path."""
-    assert routing.BATCH_REPLAYS is False
-    cache = RunCache(tmp_path / "store")
-    result = sweep(replay_specs(), cache, jobs=1, ensemble=True)
-    assert (result.ensemble_batches, result.ensemble_runs) == (0, 0)
-
-
-def test_replay_batching_flag_preserves_artifact_bytes(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setattr(routing, "BATCH_REPLAYS", True)
-    specs = replay_specs()
-    batched_cache = RunCache(tmp_path / "batched")
-    scalar_cache = RunCache(tmp_path / "scalar")
-
-    batched = sweep(specs, batched_cache, jobs=1, ensemble=True)
-    assert batched.ensemble_batches == 1
-    assert batched.ensemble_runs == len(specs)
-
-    sweep(specs, scalar_cache, jobs=1, ensemble=False)
-    assert_caches_byte_equal(batched_cache, scalar_cache, specs)
-
-
 def test_fault_plan_specs_never_batch(tmp_path):
-    """Chaos cases with a live fault plan are structurally divergent;
-    the group key must keep them scalar even with batching enabled."""
+    """Only fault-free captures batch: replays, and chaos cases with a
+    live fault plan, stay on the pool path."""
     spec = RunSpec(
         kind="chaos_ref",
         workload=WORKLOAD,
@@ -171,3 +131,9 @@ def test_fault_plan_specs_never_batch(tmp_path):
         fault_plan={"kind": "straggler"},
     )
     assert routing._group_key(spec) is None
+    replay = RunSpec(
+        kind="chaos_ref", workload=WORKLOAD, steps=STEPS, seed=0,
+        threads=2, machine="i7-920",
+    )
+    assert routing._group_key(replay) is None
+    assert routing._group_key(capture_specs()[0]) == (WORKLOAD, STEPS)
