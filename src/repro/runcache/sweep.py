@@ -611,9 +611,9 @@ def sweep(
 
     ``ensemble`` controls the vectorized batch path (see
     :mod:`repro.ensemble`): ``None`` (auto, the default) and ``True``
-    route homogeneous miss-batches — same workload family and step
-    count, varying seed/threads/machine — through the batched engine
-    before the pool sees them; ``False`` disables routing.  Either way
+    route capture miss-batches — same workload and step count, varying
+    seed — through the batched engine before the pool sees them;
+    ``False`` disables routing.  Either way
     every run's artifact is published under its own spec digest with
     identical journal records, so cache/journal consumers see no
     difference.
